@@ -163,8 +163,9 @@ class DynamicGroupMaintainer:
     splits with theirs.  The durable condensers collect these into WAL
     entries;
     :meth:`apply_op` replays them, and because each sub-operation
-    carries exact (JSON-round-trippable) float aggregates, replay
-    reconstructs the maintainer bit for bit.  Warm-up buffering emits
+    carries exact float aggregates (array copies taken at emission,
+    stored bit-exactly by the durability codec), replay reconstructs
+    the maintainer bit for bit.  Warm-up buffering emits
     nothing: raw records are not durable, which is exactly the
     at-least-once recovery contract (lost warm-up records are re-fed
     by the upstream source).
@@ -238,7 +239,7 @@ class DynamicGroupMaintainer:
                 telemetry.counter_inc("dynamic.absorbed", self.k)
                 telemetry.gauge_set("dynamic.groups", 1)
                 self._emit({"op": "founding",
-                            "group": founding.to_dict()})
+                            "group": founding.to_state()})
             return
         if record.shape[0] != self._groups[0].n_features:
             raise ValueError(
@@ -263,13 +264,13 @@ class DynamicGroupMaintainer:
             telemetry.counter_inc("dynamic.splits")
             telemetry.gauge_set("dynamic.groups", len(self._groups))
             self._emit({"op": "split", "target": target,
-                        "first": first.to_dict(),
-                        "second": second.to_dict()})
+                        "first": first.to_state(),
+                        "second": second.to_state()})
         else:
             self._centroids[target] = group.centroid
             self._index.mark_dirty(target)
             self._emit({"op": "ingest", "target": target,
-                        "group": group.to_dict()})
+                        "group": group.to_state()})
 
     def add_stream(self, records) -> None:
         """Ingest an iterable of records in arrival order."""
@@ -412,8 +413,8 @@ class DynamicGroupMaintainer:
                     self._index.mark_dirty(target)
                     telemetry.counter_inc("dynamic.splits")
                     self._emit({"op": "split", "target": target,
-                                "first": first.to_dict(),
-                                "second": second.to_dict(),
+                                "first": first.to_state(),
+                                "second": second.to_state(),
                                 "absorbed": int(take.shape[0])})
                 else:
                     # Keep the eigen hint alive across absorbs so the
@@ -426,7 +427,7 @@ class DynamicGroupMaintainer:
                     self._centroids[target] = group.centroid
                     self._index.mark_dirty(target)
                     self._emit({"op": "absorb", "target": target,
-                                "group": group.to_dict(),
+                                "group": group.to_state(),
                                 "n": int(take.shape[0])})
             if appended:
                 self._centroids = np.vstack([self._centroids] + appended)
@@ -525,7 +526,7 @@ class DynamicGroupMaintainer:
                 self._centroids[target] = group.centroid
                 self._index.mark_dirty(target)
                 self._emit({"op": "remove", "target": target,
-                            "group": group.to_dict()})
+                            "group": group.to_state()})
                 return
         self._merge_undersized(target)
 
@@ -559,12 +560,12 @@ class DynamicGroupMaintainer:
             self._groups.append(second)
             self.n_splits += 1
             telemetry.counter_inc("dynamic.splits")
-            resplit = [first.to_dict(), second.to_dict()]
+            resplit = [first.to_state(), second.to_state()]
         self._refresh_centroids()
         telemetry.gauge_set("dynamic.groups", len(self._groups))
         self._emit({"op": "merge", "target": target,
                     "neighbour": neighbour,
-                    "merged": None if resplit else merged.to_dict(),
+                    "merged": None if resplit else merged.to_state(),
                     "resplit": resplit})
 
     # ------------------------------------------------------------------
@@ -651,7 +652,7 @@ class DynamicGroupMaintainer:
         self._index.invalidate()
 
     def state_dict(self) -> dict:
-        """Full durable state as a JSON-serializable document.
+        """Full durable state as a document for the durability codec.
 
         The document holds group aggregates, operation counters, and
         the generator position — never the warm-up buffer, whose raw
@@ -664,7 +665,7 @@ class DynamicGroupMaintainer:
         """
         return {
             "k": self.k,
-            "groups": [group.to_dict() for group in self._groups],
+            "groups": [group.to_state() for group in self._groups],
             "n_splits": self.n_splits,
             "n_merges": self.n_merges,
             "n_absorbed": self.n_absorbed,
@@ -678,7 +679,8 @@ class DynamicGroupMaintainer:
         Parameters
         ----------
         state:
-            A state document (possibly after a JSON round trip).
+            A state document (possibly after a durable round trip;
+            group sums may be arrays or, from older files, lists).
 
         Returns
         -------

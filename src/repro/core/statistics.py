@@ -262,9 +262,23 @@ class GroupStatistics:
             "count": self.count,
         }
 
+    def to_state(self) -> dict:
+        """Exact-array representation for durable journals.
+
+        Like :meth:`to_dict`, but ``Fs`` and ``Sc`` stay numpy arrays,
+        which the durability codec stores bit-exactly.  They are
+        copies, so a journaled post-state cannot change when this group
+        is updated again before the journal is written.
+        """
+        return {
+            "first_order": self.first_order.copy(),
+            "second_order": self.second_order.copy(),
+            "count": self.count,
+        }
+
     @classmethod
     def from_dict(cls, payload: dict) -> "GroupStatistics":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` and of :meth:`to_state`."""
         return cls(
             first_order=np.asarray(payload["first_order"], dtype=float),
             second_order=np.asarray(payload["second_order"], dtype=float),

@@ -22,15 +22,14 @@ Two properties keep this safe:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
-import zlib
 from pathlib import Path
 
 import numpy as np
 
 from repro import telemetry
+from repro.durability import codec
 
 #: Shard checkpoint filename pattern.
 _SHARD_PATTERN = re.compile(r"^shard-(\d{5})\.json$")
@@ -74,9 +73,10 @@ class ShardCheckpointStore:
 
     Files live under ``directory/<fingerprint-prefix>/`` so different
     run configurations sharing a checkpoint directory never collide.
-    Each file uses the same CRC-framed JSON format as the snapshot
-    writer and is written atomically (tmp + rename), so a crash during
-    a store leaves at worst an ignorable partial tmp file.
+    Each file uses the same CRC-framed format and array encoding as
+    the snapshot writer (:mod:`repro.durability.codec`) and is written
+    atomically (tmp + rename), so a crash during a store leaves at
+    worst an ignorable partial tmp file.
 
     Parameters
     ----------
@@ -110,18 +110,15 @@ class ShardCheckpointStore:
         payload = {
             "fingerprint": self.fingerprint,
             "shard": int(shard_index),
-            "groups": [group.to_dict() for group in shard_groups],
+            "groups": [group.to_state() for group in shard_groups],
             "lineage": [
-                np.asarray(indices, dtype=np.int64).tolist()
-                for indices in lineage
+                np.asarray(indices, dtype=np.int64) for indices in lineage
             ],
         }
-        body = json.dumps(payload, separators=(",", ":"))
-        crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
         final = self._path(shard_index)
         temporary = final.with_suffix(".json.tmp")
         with open(temporary, "w") as handle:
-            handle.write(f"{crc:08x} {body}")
+            handle.write(codec.frame(payload))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(temporary, final)
@@ -149,21 +146,9 @@ class ShardCheckpointStore:
             document = path.read_text()
         except OSError:
             return None
-        if len(document) < 10 or document[8] != " ":
-            return None
-        checksum, body = document[:8], document[9:]
-        try:
-            expected = int(checksum, 16)
-        except ValueError:
-            return None
-        if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-            return None
-        try:
-            payload = json.loads(body)
-        except ValueError:
-            return None
+        payload = codec.unframe(document)
         if (
-            not isinstance(payload, dict)
+            payload is None
             or payload.get("fingerprint") != self.fingerprint
             or payload.get("shard") != int(shard_index)
         ):

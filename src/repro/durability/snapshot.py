@@ -21,15 +21,14 @@ Snapshots are crash-safe by construction:
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro import telemetry
+from repro.durability import codec
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS, DEFAULT_SIZE_BUCKETS
 
 #: Snapshot format marker so future revisions can migrate old files.
@@ -84,9 +83,10 @@ def write_snapshot(directory, state: dict, seq: int) -> Path:
     directory:
         Durability directory (created if missing).
     state:
-        JSON-serializable state document (statistics only — the caller
+        State document; numpy arrays inside it are stored bit-exactly
+        (:mod:`repro.durability.codec`).  Statistics only — the caller
         is responsible for never including raw records; the analyzer's
-        PRIV rules enforce this for the in-repo callers).
+        PRIV rules enforce this for the in-repo callers.
     seq:
         WAL sequence number covered by this state.
 
@@ -104,13 +104,10 @@ def write_snapshot(directory, state: dict, seq: int) -> Path:
         raise ValueError(f"seq must be non-negative, got {seq}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(
+    document = codec.frame(
         {"format_version": SNAPSHOT_FORMAT_VERSION, "seq": seq,
-         "state": state},
-        separators=(",", ":"),
+         "state": state}
     )
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    document = f"{crc:08x} {body}"
     final = snapshot_path(directory, seq)
     temporary = final.with_suffix(".json.tmp")
     started = time.perf_counter()
@@ -153,21 +150,9 @@ def read_snapshot(path) -> SnapshotInfo | None:
         document = path.read_text()
     except OSError:
         return None
-    if len(document) < 10 or document[8] != " ":
-        return None
-    checksum, body = document[:8], document[9:]
-    try:
-        expected = int(checksum, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-        return None
-    try:
-        payload = json.loads(body)
-    except ValueError:
-        return None
+    payload = codec.unframe(document)
     if (
-        not isinstance(payload, dict)
+        payload is None
         or payload.get("format_version") != SNAPSHOT_FORMAT_VERSION
         or not isinstance(payload.get("seq"), int)
         or not isinstance(payload.get("state"), dict)

@@ -14,11 +14,12 @@ The log is a directory of size-rotated segment files named
 
     <crc32-hex-8> <json-entry>\\n
 
-where the CRC covers the JSON text.  A torn tail — a truncated final
-line, or a line whose CRC does not match — marks the durable frontier:
-replay stops at the first invalid or discontinuous entry and everything
-after it is discarded, which is exactly the crash semantics an
-``fsync``-then-die process exhibits.
+where the CRC covers the JSON text, and the group aggregates inside it
+are exact binary arrays (:mod:`repro.durability.codec`).  A torn tail —
+a truncated final line, or a line whose CRC does not match — marks the
+durable frontier: replay stops at the first invalid or discontinuous
+entry and everything after it is discarded, which is exactly the crash
+semantics an ``fsync``-then-die process exhibits.
 
 Durability knobs: ``fsync_every`` controls how many appends may ride on
 the OS page cache between ``fsync`` calls (1 = every append is durable
@@ -28,14 +29,13 @@ so checkpoint-driven pruning can unlink whole files.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
-import zlib
 from pathlib import Path
 
 from repro import telemetry
+from repro.durability import codec
 from repro.telemetry import DEFAULT_SECONDS_BUCKETS
 
 #: Segment filename pattern: ``wal-<six-digit-segment>.log``.
@@ -56,16 +56,15 @@ def encode_entry(entry: dict) -> str:
     Parameters
     ----------
     entry:
-        JSON-serializable entry mapping.
+        Entry mapping; numpy arrays inside it are stored bit-exactly
+        in the array encoding of :mod:`repro.durability.codec`.
 
     Returns
     -------
     str
         ``"<crc32-hex-8> <json>"``.
     """
-    body = json.dumps(entry, separators=(",", ":"))
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {body}"
+    return codec.frame(entry)
 
 
 def decode_line(line: str) -> dict | None:
@@ -80,28 +79,12 @@ def decode_line(line: str) -> dict | None:
     Returns
     -------
     dict or None
-        The decoded entry, or ``None`` if the line fails framing, CRC,
-        or JSON validation.
+        The decoded entry with its arrays restored, or ``None`` if the
+        line fails framing, CRC, or JSON validation.
     """
     if not line.endswith("\n"):
         return None
-    line = line[:-1]
-    if len(line) < 10 or line[8] != " ":
-        return None
-    checksum, body = line[:8], line[9:]
-    try:
-        expected = int(checksum, 16)
-    except ValueError:
-        return None
-    if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != expected:
-        return None
-    try:
-        entry = json.loads(body)
-    except ValueError:
-        return None
-    if not isinstance(entry, dict):
-        return None
-    return entry
+    return codec.unframe(line[:-1])
 
 
 def list_segments(directory) -> list:
@@ -260,6 +243,9 @@ class WriteAheadLog:
         self._handle = None
         self._appends_since_fsync = 0
         self._segment_index = 0
+        # Closed segment index -> highest sequence number at or before
+        # its end, so pruning never has to read a segment back.
+        self._closed_last_seq: dict[int, int] = {}
         self.last_seq = 0
         self._repair()
 
@@ -394,21 +380,14 @@ class WriteAheadLog:
             Number of segments removed.
         """
         removed = 0
-        segments = self.segments()
-        active = (
-            self.directory / _segment_name(self._segment_index)
-        )
-        for segment in segments:
-            if segment == active:
-                continue
-            last = self._last_seq_in(segment)
-            if last is not None and last <= upto_seq:
-                segment.unlink()
-                removed += 1
-            else:
+        for index in sorted(self._closed_last_seq):
+            if self._closed_last_seq[index] > upto_seq:
                 # Segments are ordered; once one survives, later ones
                 # hold higher sequence numbers and survive too.
                 break
+            (self.directory / _segment_name(index)).unlink(missing_ok=True)
+            del self._closed_last_seq[index]
+            removed += 1
         if removed:
             telemetry.counter_inc("durability.wal_segments_pruned", removed)
         return removed
@@ -460,6 +439,9 @@ class WriteAheadLog:
                         later.unlink()
                 break
             self._segment_index = index
+            self._closed_last_seq[index] = previous_seq or 0
+        # The active segment is open for append, not closed.
+        self._closed_last_seq.pop(self._segment_index, None)
         self.last_seq = previous_seq or 0
 
     def _active_handle(self):
@@ -472,21 +454,9 @@ class WriteAheadLog:
     def _rotate(self) -> None:
         """Close the active segment and start the next one."""
         self.close()
+        self._closed_last_seq[self._segment_index] = self.last_seq
         self._segment_index += 1
         telemetry.counter_inc("durability.wal_rotations")
-
-    def _last_seq_in(self, segment) -> int | None:
-        """Last valid sequence number in ``segment`` (None if empty)."""
-        last = None
-        with open(segment, "r", newline="") as handle:
-            for line in handle:
-                entry = decode_line(line)
-                if entry is None:
-                    break
-                seq = entry.get("seq")
-                if isinstance(seq, int):
-                    last = seq
-        return last
 
     def __enter__(self):
         return self

@@ -136,6 +136,10 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # Keep-alive clients wait for each response before sending the next
+    # request; with Nagle on, a response's last segment can sit behind
+    # the client's delayed ACK.  Responses leave in one write anyway.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:
         """Dispatch ``GET`` endpoints."""
@@ -313,12 +317,22 @@ class AnonymizationRequestHandler(BaseHTTPRequestHandler):
 
     def _send_bytes(self, status: int, body: bytes,
                     content_type: str) -> None:
-        """Send a complete response with explicit Content-Length."""
+        """Send a complete response with explicit Content-Length.
+
+        The status line, headers, and body leave in a single write:
+        ``end_headers()`` followed by a separate body write would send
+        two segments per response.
+        """
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            # A 0.9 response is the bare body: no status line, headers.
+            response = body
+        else:
+            response = b"".join(self._headers_buffer) + b"\r\n" + body
+            self._headers_buffer.clear()
+        self.wfile.write(response)
         telemetry.counter_inc(
             "serve.responses", labels={"status": str(status)}
         )

@@ -16,7 +16,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.condenser import DynamicCondenser
-from repro.durability import inspect_frames
+from repro.durability import inspect_frames, replay_directory
 
 K = 4
 DIMS = 3
@@ -164,3 +164,58 @@ class TestBatchEntryInspection:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "resume the upstream feed from position" in output
+
+
+class TestBatchPostStateCapture:
+    def test_absorb_then_split_in_one_block(self, tmp_path):
+        """A group absorbs in two rounds of one block, then splits.
+
+        The block is journaled only after it completes, so each
+        sub-operation must hold the group's state as of its emission —
+        not a live array the next round keeps updating.  Geometry:
+        groups G near the origin and H at x=10 (spread along y).  Round
+        one: G absorbs two rows, H fills to ``2k`` and splits, and the
+        row at x=5.2 overflows; after H's split it is nearest to G,
+        which absorbs it in round two and splits.
+        """
+        initial = np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0],
+                            [10.0, 5.0], [10.0, -5.0], [10.0, 0.0]])
+        block = np.array([[0.2, 0.0], [10.0, 6.0], [-0.2, 0.0],
+                          [10.0, -6.0], [10.0, 0.5], [5.2, 0.0]])
+        condenser = DynamicCondenser(
+            3, random_state=0, wal_dir=tmp_path, batch_size=len(block)
+        )
+        condenser.fit(initial)
+        condenser.partial_fit(block)
+
+        batches = [
+            entry for __, entry in replay_directory(tmp_path)
+            if entry["kind"] == "batch"
+        ]
+        assert len(batches) == 1
+        ops = batches[0]["ops"]
+        absorb = next(op for op in ops if op["op"] == "absorb")
+        target = absorb["target"]
+        assert any(
+            op["op"] == "split" and op["target"] == target
+            and op["absorbed"] == 1
+            for op in ops[ops.index(absorb) + 1:]
+        )
+        # The journaled absorb is G after round one: its three founding
+        # rows plus the two absorbed, not the six it held at the split.
+        round_one = np.vstack([initial[:3], block[[0, 2]]])
+        assert absorb["group"]["count"] == 5
+        np.testing.assert_allclose(
+            absorb["group"]["first_order"], round_one.sum(axis=0),
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            absorb["group"]["second_order"], round_one.T @ round_one,
+            atol=1e-12,
+        )
+
+        recovered = DynamicCondenser.recover(tmp_path, batch_size=len(block))
+        assert fingerprint(recovered.model_) == fingerprint(condenser.model_)
+        assert recovered.model_.metadata == condenser.model_.metadata
+        recovered.close()
+        condenser.close()

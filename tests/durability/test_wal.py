@@ -1,5 +1,7 @@
 """Unit tests for the size-rotated, CRC-framed write-ahead log."""
 
+import builtins
+import io
 import os
 
 import pytest
@@ -149,6 +151,58 @@ class TestPrune:
             wal.prune(upto_seq=wal.last_seq)
             assert len(wal.segments()) == 1
             assert wal.append({}) == 6
+
+
+class TestPruneReadsNothing:
+    """Pruning decides from sequence numbers the writer already holds."""
+
+    @staticmethod
+    def _last_seqs(directory):
+        """Segment name -> last sequence number, read independently."""
+        return {
+            path.name: max(
+                decode_line(line)["seq"]
+                for line in path.read_text().splitlines(keepends=True)
+            )
+            for path in sorted(directory.glob("wal-*.log"))
+        }
+
+    @staticmethod
+    def _forbid_segment_opens(monkeypatch):
+        real_open = io.open
+
+        def guarded(file, *args, **kwargs):
+            if os.path.basename(os.fspath(file)).startswith("wal-"):
+                raise AssertionError(f"prune opened {file}")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", guarded)
+        monkeypatch.setattr(io, "open", guarded)
+
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_unlinks_exactly_the_covered_segments(
+        self, tmp_path, monkeypatch, reopen
+    ):
+        wal = WriteAheadLog(tmp_path, max_segment_bytes=150)
+        for position in range(24):
+            wal.append({"pos": position, "pad": "z" * 30})
+        if reopen:
+            wal.close()
+            wal = WriteAheadLog(tmp_path, max_segment_bytes=150)
+        last_seqs = self._last_seqs(tmp_path)
+        upto = wal.last_seq - 7
+        covered = {name for name, seq in last_seqs.items() if seq <= upto}
+        assert 1 < len(covered) < len(last_seqs)
+        self._forbid_segment_opens(monkeypatch)
+        removed = wal.prune(upto_seq=upto)
+        monkeypatch.undo()
+        remaining = {path.name for path in tmp_path.glob("wal-*.log")}
+        assert removed == len(covered)
+        assert remaining == set(last_seqs) - covered
+        assert [seq for seq, __ in entries_of(wal, after_seq=upto)] == list(
+            range(upto + 1, wal.last_seq + 1)
+        )
+        wal.close()
 
 
 class TestFsyncPolicy:

@@ -1,6 +1,7 @@
 """HTTP endpoints: payloads, structured errors, and metrics."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -12,6 +13,7 @@ from repro import telemetry
 from repro.linalg.rng import check_random_state
 from repro.serve import (
     AnonymizationHTTPServer,
+    AnonymizationRequestHandler,
     ShardedCondensationService,
 )
 
@@ -205,3 +207,56 @@ class TestGracefulDegradation:
         status, health = _call(server, "/healthz")
         assert status == 200
         assert health["status"] == "ok"
+
+
+class _CountingWriter:
+    """Socket writer wrapper recording every write call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return self.inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestResponseWrites:
+    """Each response leaves in one write on a TCP_NODELAY socket."""
+
+    @pytest.fixture()
+    def observed(self, server):
+        connections = []
+
+        class ObservedHandler(AnonymizationRequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile)
+                connections.append({
+                    "nodelay": self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    ),
+                    "writes": self.wfile.writes,
+                })
+
+        server.RequestHandlerClass = ObservedHandler
+        return connections
+
+    @pytest.mark.parametrize("endpoint, body", [
+        ("/healthz", None),
+        ("/ingest", {"records": _records(4)}),
+        ("/nope", None),
+    ])
+    def test_one_write_per_response(self, server, observed, endpoint,
+                                    body):
+        status, __ = _call(server, endpoint, body=body)
+        assert status in (200, 404)
+        (connection,) = observed
+        assert connection["nodelay"]
+        (response,) = connection["writes"]
+        head, separator, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert separator and json.loads(payload)
